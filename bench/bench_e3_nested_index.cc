@@ -159,11 +159,11 @@ void BM_RelationalIndexJoin(benchmark::State& state) {
   state.counters["results"] = static_cast<double>(results);
 }
 
-// Residual-fetch pipeline, batch-at-a-time vs row-at-a-time: the nested
-// index yields Detroit candidates, then a Filter point-fetches each one
-// to re-check the weight conjunct. Batching drains the index in slabs
-// and prefetches candidate pages ahead of materialization. range(0) =
-// fleet size, range(1) = batch size (1 == row-at-a-time baseline).
+// Residual-fetch pipeline by batch size: the nested index yields Detroit
+// candidates, then a Filter point-fetches each one to re-check the weight
+// conjunct. Larger batches drain the index in slabs and prefetch
+// candidate pages ahead of the fetches. range(0) = fleet size, range(1) =
+// batch size (1 == one-row batches through the same batch operators).
 void BM_NestedIndexResidual_BatchSize(benchmark::State& state) {
   E3Fixture f(static_cast<size_t>(state.range(0)));
   BENCH_OK(f.im->CreateIndex(IndexKind::kNested, f.schema.vehicle,

@@ -333,9 +333,8 @@ void BM_ConcurrentGet_WithWriter(benchmark::State& state) {
     Snapshot snap = mvcc->AcquireSnapshot();
     Oid oid = f.oids[rng.Uniform(f.oids.size())];
     obs::Timer tm(&g_writer->reader_ns);
-    bool cache_hit = false;
     Result<std::shared_ptr<const Object>> obj =
-        f.env->store->GetSharedSnapshot(oid, snap.read_ts(), &cache_hit);
+        f.env->store->GetShared(oid, snap.read_ts());
     tm.Stop();
     if (!obj.ok()) {
       state.SkipWithError(obj.status().ToString().c_str());

@@ -4,9 +4,9 @@
 # (BENCH_pr<N>.json) so future PRs can diff against a recorded baseline
 # instead of prose numbers in commit messages.
 #
-# Covered surfaces: E1 extent scan (query model) plus the batch-at-a-time
-# vs row-at-a-time scan pair, E2 class-hierarchy index lookups, E3 nested
-# index / residual-fetch batched-vs-row pair, E4 traversal / cached
+# Covered surfaces: E1 extent scan (query model) plus the batch-size-256
+# vs batch-size-1 scan pair, E2 class-hierarchy index lookups, E3 nested
+# index / residual-fetch batch-size pair, E4 traversal / cached
 # point gets (object cache A/B), E5 durable commit throughput (untraced
 # and with the flight recorder armed -- the delta is the tracing
 # overhead), E7 lock granularity / per-class writer scaling, E12 OQL vs
@@ -55,15 +55,16 @@ run_bench() {
   fi
 }
 
-run_bench bench_e1_query_model    "${KIMDB_BENCH_FILTER_E1:-(BM_SingleClassScope_Simple|BM_ParallelScan_PaperQuery)}"
-# Batched-vs-row pairs (E1 scan, E3 residual fetch): recorded with
+run_bench bench_e1_query_model    "${KIMDB_BENCH_FILTER_E1:-BM_SingleClassScope_Simple}"
+# Batch-size pairs (E1 scan, E3 residual fetch; size 1 runs the same
+# batch operators one row at a time): recorded with
 # repetitions + random interleaving so a noisy host cannot flip the
 # comparison -- the medians are the numbers DESIGN.md §16 quotes.
 PAIR_ARGS=(--benchmark_repetitions=5 --benchmark_enable_random_interleaving=true
            --benchmark_report_aggregates_only=true)
 run_bench bench_e1_query_model    "BM_Scan_BatchSize" bench_e1_batch_pair "${PAIR_ARGS[@]}"
 # E2/E3: the plan shapes the cost-based optimizer pins (class-hierarchy
-# index lookup, nested index + residual), with the E3 batched-vs-row
+# index lookup, nested index + residual), with the E3 batch-size
 # residual-fetch pair quantifying the NextBatch protocol.
 run_bench bench_e2_ch_index       "${KIMDB_BENCH_FILTER_E2:-BM_Lookup_ClassHierarchyIndex}"
 run_bench bench_e3_nested_index   "${KIMDB_BENCH_FILTER_E3:-BM_NestedIndex/}"

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # TSan job variant: builds the tree with -fsanitize=thread (CMake option
 # KIMDB_SANITIZE=thread) and runs the multi-threaded tests -- the lock
-# manager / transaction suite, the parallel extent-scan operator tests,
-# the sharded buffer-pool stress/miss-storm tests (off-lock I/O and the
+# manager / transaction suite, the exec operator tests (the serial scan
+# pipeline over the class latch, budget and cancellation polling), the
+# sharded buffer-pool stress/miss-storm tests (off-lock I/O and the
 # per-shard condvar choreography), the ObjectStore reader/writer +
 # object-cache stress (shared/exclusive store lock, cache invalidation),
 # the crash-recovery harness (whose group-commit Sync path is the most

@@ -20,7 +20,6 @@
 #include "lang/parser.h"
 #include "object/composite.h"
 #include "object/notification.h"
-#include "object/object_manager.h"
 #include "object/object_store.h"
 #include "object/recovery.h"
 #include "object/versions.h"
@@ -180,8 +179,6 @@ class Database : public MethodEnv {
   obs::MetricsRegistry& metrics() { return metrics_; }
   /// Snapshot of every registered metric as a flat JSON object.
   std::string MetricsJson() const { return metrics_.TakeSnapshot().ToJson(); }
-  /// Snapshot as one `name value` line per metric.
-  std::string MetricsText() const { return metrics_.TakeSnapshot().ToText(); }
 
   /// The flight recorder wired through the commit pipeline, class latches,
   /// WAL and exec operators (DESIGN.md §15). Always present; records only
@@ -218,11 +215,6 @@ class Database : public MethodEnv {
   lang::Parser& parser() { return *parser_; }
   BufferPool& buffer_pool() { return *bp_; }
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
-
-  /// A fresh memory-resident workspace (pointer swizzling, §3.3).
-  std::unique_ptr<ObjectManager> NewWorkspace() {
-    return std::make_unique<ObjectManager>(store_.get());
-  }
 
   /// Flushes dirty pages, persists the catalog/metadata and truncates the
   /// WAL. Refuses while transactions are active.

@@ -101,7 +101,6 @@ Status ForEachRow(Operator& root, ExecContext* ctx,
 
 Status ForEachRowBatched(Operator& root, ExecContext* ctx,
                          const std::function<Status(Row&)>& fn) {
-  if (ctx->batch_size() <= 1) return ForEachRow(root, ctx, fn);
   Status st = root.Open(ctx);
   if (st.ok()) {
     std::vector<Row> batch;

@@ -23,10 +23,11 @@ namespace exec {
 /// consumers never re-fetch what a scan just decoded); relational operators
 /// fill `tuple`. A Row is cheap to move, never to copy implicitly.
 ///
-/// Batched execution late-materializes: a batched Filter over index
+/// Object-model execution late-materializes, always: a Filter over index
 /// candidates evaluates its predicate against the shared resident image
-/// and emits the row with `obj` still empty (batch consumers read OIDs).
-/// The row-at-a-time path keeps its materialize-on-pass contract.
+/// and emits the row with `obj` still empty, and a Filter fused into a
+/// scan emits bare OIDs too. Consumers read OIDs; `obj` is a by-product
+/// of an unfiltered scan, never a promise.
 struct Row {
   Oid oid = kNilOid;
   std::optional<Object> obj;        // set by extent scans, not index scans
@@ -36,19 +37,14 @@ struct Row {
 /// Predicate hook the query layer injects into Filter / scans.
 /// Implemented by QueryEngine::Matches (path semantics, late-bound method
 /// calls); kept as a std::function so the exec layer does not depend on
-/// the query layer. Must be thread-safe: parallel scans evaluate it from
-/// several workers at once, each accounting on a private shadow
-/// ExecContext that is flushed into the query's context when the worker
-/// finishes (see ExecContext::FlushCountersInto).
+/// the query layer. It accounts its work on the ExecContext it is handed.
 using MatchFn = std::function<Result<bool>(const Object&, ExecContext*)>;
 
 /// Per-operator EXPLAIN ANALYZE span, filled only while the context's
 /// analyze flag is armed. Time and pages are *inclusive* of children (a
 /// parent's Next drives its child's Next inside the measured window), like
 /// the "actual time" column of the classical EXPLAIN ANALYZE renderers.
-/// Plain fields: every wrapper call happens on the tree's consumer thread
-/// (parallel scan workers communicate through the row queue and never call
-/// operator methods), so no atomics are needed.
+/// Plain fields: the whole tree runs on its consumer's thread.
 struct OpStats {
   uint64_t rows = 0;         // rows this operator produced
   uint64_t loops = 0;        // Next calls, including the end-of-stream one
@@ -60,14 +56,20 @@ struct OpStats {
   uint64_t obj_cache_misses = 0; // Gets that decoded from the heap
 };
 
-/// Pull-based (Volcano) operator: Open prepares state, Next produces rows
-/// one at a time until it returns false, Close releases resources. The
-/// same ExecContext is threaded through all three calls and shared by the
-/// whole tree; operators account their work on its counters.
+/// Pull-based (Volcano) operator: Open prepares state, NextBatch produces
+/// slabs of rows until it returns 0, Close releases resources. The same
+/// ExecContext is threaded through all three calls and shared by the whole
+/// tree; operators account their work on its counters.
 ///
-/// Lifecycle contract: Open exactly once, Next until false/error, Close
-/// exactly once (also after an error -- drivers must always Close so
-/// parallel operators can join their workers).
+/// Lifecycle contract: Open exactly once, NextBatch (or Next) until
+/// end of stream or error, Close exactly once (also after an error).
+///
+/// Each operator implements exactly one pull hook. The object-model
+/// operators (src/exec) implement NextBatchImpl only; the relational
+/// baseline operators (src/rel) stay row-at-a-time and implement NextImpl
+/// only, which the default NextBatchImpl drains. The default NextImpl
+/// fails instead of calling NextBatchImpl, so the two defaults can never
+/// recurse into each other: drive an object-model tree with NextBatch.
 ///
 /// The public lifecycle methods are non-virtual instrumentation shells
 /// around the virtual *Impl hooks subclasses provide: when the context has
@@ -85,6 +87,7 @@ class Operator {
   }
 
   /// Fills *row and returns true, or returns false at end of stream.
+  /// Row-at-a-time operators only (see the class comment).
   Result<bool> Next(ExecContext* ctx, Row* row) {
     if (!ctx->analyze_enabled()) return NextImpl(ctx, row);
     Span span(this, ctx);
@@ -98,7 +101,7 @@ class Operator {
   /// ctx->batch_size() rows, and returns the count -- 0 means end of
   /// stream (a non-empty batch may be short of the target; only 0 ends
   /// the stream). One NextBatch call pays the virtual dispatch, span
-  /// accounting and budget poll that row-at-a-time pays per row.
+  /// accounting and budget poll once per slab instead of once per row.
   Result<size_t> NextBatch(ExecContext* ctx, std::vector<Row>* out) {
     out->clear();
     const size_t max = ctx->batch_size();
@@ -122,11 +125,10 @@ class Operator {
 
   /// Batched scan+filter fusion: a parent Filter offers its predicate so
   /// the scan can apply it inside NextBatchImpl, before a non-matching
-  /// object is ever moved out of the decoded page buffer (the batched
-  /// sibling of ParallelExtentScan's constructor-time pushdown). Returns
-  /// true iff this operator -- and, for composites, every child -- will
-  /// filter the rows it emits from NextBatchImpl. Row-at-a-time Next is
-  /// never affected; `pred` must outlive the operator's open lifecycle.
+  /// object is ever moved out of the decoded page buffer. Returns true iff
+  /// this operator -- and, for composites, every child -- will filter the
+  /// rows it emits from NextBatchImpl; `pred` must outlive the operator's
+  /// open lifecycle.
   virtual bool AcceptBatchResidual(const MatchFn* pred) {
     (void)pred;
     return false;
@@ -155,12 +157,20 @@ class Operator {
 
  protected:
   virtual Status OpenImpl(ExecContext* ctx) = 0;
-  virtual Result<bool> NextImpl(ExecContext* ctx, Row* row) = 0;
   virtual void CloseImpl(ExecContext* ctx) = 0;
 
-  /// Default batching: drain NextImpl row by row. Operators with cheaper
-  /// bulk paths (page buffers, candidate vectors, drain queues) override.
-  /// `out` arrives empty; implementations append at most `max` rows.
+  /// Row-at-a-time hook, overridden by the relational operators only. The
+  /// default refuses: a batch-only operator has no row path.
+  virtual Result<bool> NextImpl(ExecContext* ctx, Row* row) {
+    (void)ctx;
+    (void)row;
+    return Status::Internal(Describe() + " is batch-only; pull it with "
+                                         "NextBatch");
+  }
+
+  /// Batch hook. `out` arrives empty; implementations append at most `max`
+  /// rows. The default drains NextImpl row by row (the relational
+  /// operators); every object-model operator overrides it.
   virtual Result<size_t> NextBatchImpl(ExecContext* ctx, std::vector<Row>* out,
                                        size_t max) {
     Row row;
@@ -176,7 +186,8 @@ class Operator {
  private:
   /// Emits the operator's open/close boundary into the flight recorder
   /// (kExecOp; arg tags the operator so a dump can pair B/E events). Next
-  /// is deliberately not traced -- per-row events would flood the ring.
+  /// and NextBatch are deliberately not traced -- they would flood the
+  /// ring.
   void RecordLifecycle(ExecContext* ctx, obs::TraceEventKind kind) {
     obs::FlightRecorder* r = ctx->recorder();
     if (r == nullptr) return;
@@ -241,14 +252,13 @@ std::string ExplainTree(const Operator& root);
 /// under a context with EnableAnalyze().
 std::string ExplainAnalyzeTree(const Operator& root);
 
-/// Drives a tree to completion, handing every row to `fn`. Always Closes,
-/// including on error paths.
+/// Drives a row-at-a-time (relational) tree to completion through Next,
+/// handing every row to `fn`. Always Closes, including on error paths.
 Status ForEachRow(Operator& root, ExecContext* ctx,
                   const std::function<Status(Row&)>& fn);
 
 /// Batch-at-a-time driver: pulls ctx->batch_size() rows per NextBatch and
-/// hands them to `fn` one by one. Degrades to ForEachRow when the batch
-/// size is 1. Always Closes, including on error paths.
+/// hands them to `fn` one by one. Always Closes, including on error paths.
 Status ForEachRowBatched(Operator& root, ExecContext* ctx,
                          const std::function<Status(Row&)>& fn);
 

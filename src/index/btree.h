@@ -76,8 +76,6 @@ class BPlusTree {
   struct InternalNode;
 
   LeafNode* FindLeaf(const Value& key) const;
-  /// Splits `leaf` if overfull, propagating splits up to the root.
-  void SplitIfNeeded(std::vector<InternalNode*>& path, Node* child);
 
   size_t fanout_;
   Node* root_;

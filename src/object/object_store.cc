@@ -466,26 +466,67 @@ Status ObjectStore::MaterializeInPlace(Object* obj) const {
   return Status::OK();
 }
 
-Result<Object> ObjectStore::Get(Oid oid) const {
-  bool unused;
-  return Get(oid, &unused);
+namespace {
+/// The result of a point read a version chain decided: the version
+/// visible at the snapshot, or NotFound when nothing is.
+Result<std::shared_ptr<const Object>> ChainRead(
+    Oid oid, MvccLookup chain, std::shared_ptr<const Object> image) {
+  if (chain == MvccLookup::kImage) return image;
+  return Status::NotFound("object " + oid.ToString() +
+                          " not visible at snapshot");
 }
+}  // namespace
 
-Result<Object> ObjectStore::Get(Oid oid, bool* cache_hit) const {
+Result<std::shared_ptr<const Object>> ObjectStore::GetShared(
+    Oid oid, uint64_t read_ts, bool* cache_hit) const {
   obs::Timer timer(get_ns_);
+  bool hit_unused;
+  if (cache_hit == nullptr) cache_hit = &hit_unused;
   *cache_hit = false;
+  const bool snapshot = read_ts != kCurrent && mvcc_ != nullptr;
   // Lock-free fast path: a hit never needs the class latch. The entry's
   // schema-version tag guarantees it matches the current schema, and any
   // completed mutation already invalidated it (happens-before via the
-  // cache's shard mutex).
+  // cache's shard mutex). A live entry is always the newest committed
+  // image (mutators invalidate at staging, and fills are gated on "no
+  // pending write"), so for a snapshot read a commit-ts tag at or below
+  // read_ts is exactly the version the snapshot must see.
   uint64_t schema_version = catalog_->schema_version();
-  if (std::shared_ptr<const Object> hit = cache_.Lookup(oid, schema_version)) {
+  if (std::shared_ptr<const Object> hit =
+          snapshot ? cache_.LookupSnapshot(oid, schema_version, read_ts)
+                   : cache_.Lookup(oid, schema_version)) {
     *cache_hit = true;
-    return *hit;
+    return hit;
+  }
+  std::shared_ptr<const Object> image;
+  if (snapshot) {
+    // Chain resolution off-lock: committed versions are immutable and the
+    // resolved shared_ptr stays valid past any concurrent prune.
+    MvccLookup chain = mvcc_->Resolve(oid, read_ts, &image);
+    if (chain != MvccLookup::kNoChain) {
+      return ChainRead(oid, chain, std::move(image));
+    }
   }
   ReadGuard lock(LatchFor(oid.class_id()));
+  if (snapshot) {
+    // Re-resolve under the class-shared latch: a writer that staged a
+    // chain after the first check has already dirtied the heap, but
+    // staging happens under the class's exclusive latch, so the chain is
+    // now guaranteed observable. No chain while we hold the latch means
+    // the heap image is committed, and any chain it once had was pruned
+    // at or below the watermark -- at or below every live snapshot's
+    // read_ts, ours included.
+    MvccLookup chain = mvcc_->Resolve(oid, read_ts, &image);
+    if (chain != MvccLookup::kNoChain) {
+      return ChainRead(oid, chain, std::move(image));
+    }
+  }
   KIMDB_ASSIGN_OR_RETURN(Object obj, GetRawHeld(oid));
   KIMDB_RETURN_IF_ERROR(MaterializeInPlace(&obj));
+  // Keep a copy resident, not the decoded object itself: decoding grows
+  // the attribute vector by push_back, and a copy is sized exactly --
+  // the cache holds thousands of these images.
+  auto shared = std::make_shared<const Object>(obj);
   // Fill while still holding the class-shared latch: no exclusive
   // mutation of this class can be in flight, so this image is current and
   // its invalidation (if any) must come from a *later* writer -- a stale
@@ -495,98 +536,15 @@ Result<Object> ObjectStore::Get(Oid oid, bool* cache_hit) const {
   // instead of masquerading as current.
   uint64_t commit_ts = 0;
   if (mvcc_ == nullptr || mvcc_->CacheFillTs(oid, &commit_ts)) {
-    cache_.Insert(oid, obj, schema_version, commit_ts);
-  }
-  return obj;
-}
-
-Result<std::shared_ptr<const Object>> ObjectStore::GetShared(Oid oid) const {
-  bool unused;
-  return GetShared(oid, &unused);
-}
-
-Result<std::shared_ptr<const Object>> ObjectStore::GetShared(
-    Oid oid, bool* cache_hit) const {
-  obs::Timer timer(get_ns_);
-  *cache_hit = false;
-  // Same protocol as Get (lock-free hit, fill under the class-shared
-  // latch with the pre-materialization version tag), minus the defensive
-  // copy: hit and miss both return the exact instance the cache holds.
-  uint64_t schema_version = catalog_->schema_version();
-  if (std::shared_ptr<const Object> hit = cache_.Lookup(oid, schema_version)) {
-    *cache_hit = true;
-    return hit;
-  }
-  ReadGuard lock(LatchFor(oid.class_id()));
-  KIMDB_ASSIGN_OR_RETURN(Object obj, GetRawHeld(oid));
-  KIMDB_RETURN_IF_ERROR(MaterializeInPlace(&obj));
-  auto shared = std::make_shared<const Object>(std::move(obj));
-  uint64_t commit_ts = 0;
-  if (mvcc_ == nullptr || mvcc_->CacheFillTs(oid, &commit_ts)) {
     cache_.Insert(oid, shared, schema_version, commit_ts);
   }
   return shared;
 }
 
-Result<std::shared_ptr<const Object>> ObjectStore::GetSharedSnapshot(
-    Oid oid, uint64_t read_ts, bool* cache_hit) const {
-  if (mvcc_ == nullptr) return GetShared(oid, cache_hit);
-  obs::Timer timer(get_ns_);
-  *cache_hit = false;
-  // A live cache entry is always the newest committed image (mutators
-  // invalidate at staging, and fills are gated on "no pending write"), so
-  // a commit-ts tag at or below read_ts is exactly the version this
-  // snapshot must see. No class latch, no lock-manager traffic.
-  uint64_t schema_version = catalog_->schema_version();
-  if (std::shared_ptr<const Object> hit =
-          cache_.LookupSnapshot(oid, schema_version, read_ts)) {
-    *cache_hit = true;
-    return hit;
-  }
-  // Chain resolution off-lock: committed versions are immutable and the
-  // resolved shared_ptr stays valid past any concurrent prune.
-  std::shared_ptr<const Object> image;
-  switch (mvcc_->Resolve(oid, read_ts, &image)) {
-    case MvccLookup::kImage:
-      return image;
-    case MvccLookup::kInvisible:
-      return Status::NotFound("object " + oid.ToString() +
-                              " not visible at snapshot");
-    case MvccLookup::kNoChain:
-      break;
-  }
-  ReadGuard lock(LatchFor(oid.class_id()));
-  // Re-resolve under the class-shared latch: a writer that staged a chain
-  // after the first check has already dirtied the heap, but staging
-  // happens under the class's exclusive latch, so the chain is now
-  // guaranteed observable.
-  switch (mvcc_->Resolve(oid, read_ts, &image)) {
-    case MvccLookup::kImage:
-      return image;
-    case MvccLookup::kInvisible:
-      return Status::NotFound("object " + oid.ToString() +
-                              " not visible at snapshot");
-    case MvccLookup::kNoChain:
-      break;
-  }
-  // No chain while we hold the class-shared latch: the heap image is
-  // committed, and any chain it once had was pruned at or below the
-  // watermark -- which is at or below every live snapshot's read_ts, ours
-  // included.
-  KIMDB_ASSIGN_OR_RETURN(Object obj, GetRawHeld(oid));
-  KIMDB_RETURN_IF_ERROR(MaterializeInPlace(&obj));
-  auto shared = std::make_shared<const Object>(std::move(obj));
-  uint64_t commit_ts = 0;
-  if (mvcc_->CacheFillTs(oid, &commit_ts)) {
-    cache_.Insert(oid, shared, schema_version, commit_ts);
-  }
-  return shared;
-}
-
-Result<Object> ObjectStore::GetSnapshot(Oid oid, uint64_t read_ts,
-                                        bool* cache_hit) const {
+Result<Object> ObjectStore::Get(Oid oid, uint64_t read_ts,
+                                bool* cache_hit) const {
   KIMDB_ASSIGN_OR_RETURN(std::shared_ptr<const Object> shared,
-                         GetSharedSnapshot(oid, read_ts, cache_hit));
+                         GetShared(oid, read_ts, cache_hit));
   return *shared;
 }
 
@@ -656,40 +614,31 @@ Status ObjectStore::ForEachInClassOnPage(
   // held only for the memcpy, so concurrent scans still never serialize
   // on each other -- then decode and run callbacks off-latch, preserving
   // the invariant that a callback may re-enter the store (even this
-  // class) without recursive-latch deadlock. MaterializeInPlace only
-  // reads the catalog and the HeapFile slot in extents_ is node-stable,
-  // so everything past the copy is latch-free.
-  std::vector<std::string> records;
+  // class, even to start another scan) without recursive-latch deadlock.
+  // MaterializeInPlace only reads the catalog and the HeapFile slot in
+  // extents_ is node-stable, so everything past the copy is latch-free.
+  // The copy lands in one buffer owned by this call (not per-record
+  // strings, and not thread-local scratch a nested scan would clobber).
+  std::string bytes;         // the page's records, back to back
+  std::vector<size_t> ends;  // end offset of each record in `bytes`
+  bytes.reserve(kPageSize);
   {
     ReadGuard lock(LatchFor(cls));
     KIMDB_RETURN_IF_ERROR(
-        heap->ForEachOnPage(page, [&](RecordId, std::string_view bytes) {
-          records.emplace_back(bytes);
+        heap->ForEachOnPage(page, [&](RecordId, std::string_view record) {
+          bytes.append(record);
+          ends.push_back(bytes.size());
           return Status::OK();
         }));
   }
-  for (const std::string& bytes : records) {
-    KIMDB_ASSIGN_OR_RETURN(Object obj, Object::Decode(bytes));
+  std::string_view all(bytes);
+  size_t begin = 0;
+  for (size_t end : ends) {
+    KIMDB_ASSIGN_OR_RETURN(Object obj,
+                           Object::Decode(all.substr(begin, end - begin)));
+    begin = end;
     KIMDB_RETURN_IF_ERROR(MaterializeInPlace(&obj));
     KIMDB_RETURN_IF_ERROR(fn(obj));
-  }
-  return Status::OK();
-}
-
-Status ObjectStore::ForEachInClassPartitioned(
-    ClassId cls, size_t n_partitions, size_t partition,
-    const std::function<Status(const Object&)>& fn) const {
-  if (n_partitions == 0 || partition >= n_partitions) {
-    return Status::InvalidArgument("bad scan partition index");
-  }
-  KIMDB_ASSIGN_OR_RETURN(std::vector<PageId> pages, ExtentPages(cls));
-  // Contiguous ranges keep each worker's page reads physically local.
-  size_t chunk = (pages.size() + n_partitions - 1) / n_partitions;
-  size_t begin = partition * chunk;
-  size_t end = std::min(pages.size(), begin + chunk);
-  auto call = [&fn](Object& obj) -> Status { return fn(obj); };
-  for (size_t i = begin; i < end; ++i) {
-    KIMDB_RETURN_IF_ERROR(ForEachInClassOnPage(cls, pages[i], call));
   }
   return Status::OK();
 }

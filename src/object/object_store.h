@@ -64,13 +64,12 @@ Result<Object> BuildObject(
 /// snapshot the page list and take the class-SHARED latch only for the
 /// per-page byte copy (writers rewrite records in place on the buffer
 /// frame, so an unlatched decode could tear) -- decode and callbacks run
-/// off-latch, so concurrent scans and parallel-scan workers never
-/// serialize on the store. The
-/// object directory is sharded by OID under its own leaf mutexes. Get()
-/// is fronted by a bounded deserialized-object cache (`object_cache()`);
-/// a capacity of 0 restores the decode-per-read behavior. Fine-grained
-/// isolation stays the lock manager's job (logical locks); the latches
-/// only protect physical structures.
+/// off-latch, so concurrent scans never serialize on the store. The
+/// object directory is sharded by OID under its own leaf mutexes. The
+/// point read (GetShared) is fronted by a bounded deserialized-object
+/// cache (`object_cache()`); a capacity of 0 restores the decode-per-read
+/// behavior. Fine-grained isolation stays the lock manager's job (logical
+/// locks); the latches only protect physical structures.
 class ObjectStore {
  public:
   /// Default byte budget of the deserialized-object cache.
@@ -119,40 +118,37 @@ class ObjectStore {
   // --- reads ----------------------------------------------------------------
 
   bool Exists(Oid oid) const;
-  /// Materializes the object against the *current* schema: defaults filled
-  /// in for attributes added since the object was written; dropped
-  /// attributes elided (system attributes always kept). Served from the
-  /// deserialized-object cache when possible.
-  Result<Object> Get(Oid oid) const;
-  /// As Get; additionally reports whether the read was served from the
-  /// object cache (per-operator accounting in EXPLAIN ANALYZE).
-  Result<Object> Get(Oid oid, bool* cache_hit) const;
-  /// As Get, but hands back a shared reference to the immutable resident
-  /// image instead of a copy -- the zero-copy read for traversal-style
-  /// consumers (path-expression hops) that only inspect the object. A hit
-  /// costs a map lookup plus one refcount bump; the instance stays valid
-  /// (and fixed at its lookup-time state) even if the entry is
+
+  /// `read_ts` of a point read that wants the current heap image rather
+  /// than a snapshot version.
+  static constexpr uint64_t kCurrent = ~uint64_t{0};
+
+  /// The point read: materializes the object against the *current* schema
+  /// (defaults filled in for attributes added since the object was
+  /// written; dropped attributes elided; system attributes always kept)
+  /// and hands back a shared reference to the immutable resident image.
+  /// A cache hit costs a map lookup plus one refcount bump; the instance
+  /// stays valid (and fixed at its lookup-time state) even if the entry is
   /// invalidated or evicted afterwards.
-  Result<std::shared_ptr<const Object>> GetShared(Oid oid) const;
-  Result<std::shared_ptr<const Object>> GetShared(Oid oid,
-                                                  bool* cache_hit) const;
+  ///
+  /// `read_ts` selects what is read:
+  ///  - kCurrent: the heap image, including a 2PL writer's in-place
+  ///    staged (uncommitted) update. Version chains are never consulted.
+  ///  - the read_ts of a live Snapshot (MVCC, DESIGN.md §13): the newest
+  ///    version committed at or before it. Takes no lock-manager locks;
+  ///    version-chain hits and commit-ts-tagged cache hits bypass even the
+  ///    shared class latch, so a full-speed writer cannot stall the read.
+  ///    NotFound when the object is deleted at (or born after) the
+  ///    snapshot. Without an MVCC table attached this reads as kCurrent.
+  /// `cache_hit`, if non-null, reports whether the object cache served
+  /// the read (per-operator accounting in EXPLAIN ANALYZE).
+  Result<std::shared_ptr<const Object>> GetShared(
+      Oid oid, uint64_t read_ts = kCurrent, bool* cache_hit = nullptr) const;
+  /// By-value copy of GetShared's image.
+  Result<Object> Get(Oid oid, uint64_t read_ts = kCurrent,
+                     bool* cache_hit = nullptr) const;
   /// The stored image, no schema adjustment (never cached).
   Result<Object> GetRaw(Oid oid) const;
-
-  // --- snapshot reads (MVCC, DESIGN.md §13) ---------------------------------
-
-  /// Resolves `oid` to the newest version committed at or before `read_ts`
-  /// (which must belong to a live Snapshot). Takes no lock-manager locks;
-  /// version-chain hits and commit-ts-tagged cache hits bypass even the
-  /// shared class latch, so a full-speed writer cannot stall this path.
-  /// Returns NotFound when the object is deleted at (or born after) the
-  /// snapshot. Falls back to plain GetShared when no MVCC table is
-  /// attached.
-  Result<std::shared_ptr<const Object>> GetSharedSnapshot(
-      Oid oid, uint64_t read_ts, bool* cache_hit) const;
-  /// By-value convenience over GetSharedSnapshot.
-  Result<Object> GetSnapshot(Oid oid, uint64_t read_ts,
-                             bool* cache_hit) const;
 
   /// Scans the extent of exactly `cls` (single-class scope). The page
   /// list is snapshotted up front and iterated without the class latch, so
@@ -173,24 +169,17 @@ class ObjectStore {
   uint64_t LiveCount(ClassId cls) const;
 
   /// Page ids of `cls`'s extent in chain order (empty if the extent was
-  /// never created). The page list is the unit of scan partitioning.
+  /// never created).
   Result<std::vector<PageId>> ExtentPages(ClassId cls) const;
 
   /// Scans the records of `cls` stored on one extent page, with schema
-  /// materialization. No latch is held across user callbacks, so
-  /// disjoint partitions can be scanned from several threads concurrently
-  /// (ParallelExtentScan). The callback receives a mutable reference to a
-  /// freshly decoded Object it may move from -- the decoded image is
-  /// per-call scratch, not shared state.
+  /// materialization. No latch is held across user callbacks, so a
+  /// callback may re-enter the store (even to scan this class again). The
+  /// callback receives a mutable reference to a freshly decoded Object it
+  /// may move from -- the decoded image is per-call scratch, not shared
+  /// state.
   Status ForEachInClassOnPage(ClassId cls, PageId page,
                               const std::function<Status(Object&)>& fn) const;
-
-  /// Scans partition `partition` of `n_partitions` of `cls`'s extent.
-  /// Partitions are contiguous page ranges; they are disjoint and their
-  /// union is the whole extent as of the call.
-  Status ForEachInClassPartitioned(
-      ClassId cls, size_t n_partitions, size_t partition,
-      const std::function<Status(const Object&)>& fn) const;
 
   /// Raw extent scan: stored images with their physical addresses (used by
   /// the consistency checker and physical tooling). No schema
@@ -235,12 +224,13 @@ class ObjectStore {
   void ResizeObjectCache(size_t bytes) { cache_.Resize(bytes); }
 
   /// Attaches the MVCC version table (owned by the TxnManager). Mutators
-  /// then stage copy-on-write version chains and the snapshot read paths
-  /// come alive. Attach before concurrent use; null detaches.
+  /// then stage copy-on-write version chains and snapshot reads (a
+  /// GetShared `read_ts`) come alive. Attach before concurrent use; null
+  /// detaches.
   void AttachMvcc(MvccTable* mvcc) { mvcc_ = mvcc; }
   MvccTable* mvcc() const { return mvcc_; }
 
-  /// Wires the Get() latency histogram (`objectstore.get_ns`); null
+  /// Wires the point-read latency histogram (`objectstore.get_ns`); null
   /// detaches. Call before concurrent use.
   void AttachMetrics(obs::Histogram* get_ns) { get_ns_ = get_ns; }
 

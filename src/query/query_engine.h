@@ -48,7 +48,7 @@ QueryStats StatsFromExecContext(const exec::ExecContext& ctx);
 /// Visibility the expression evaluator reads the object graph under:
 /// current-time (default) or an MVCC snapshot, in which case path-
 /// expression hops resolve each referenced object to the version visible
-/// at read_ts (ObjectStore::GetSharedSnapshot). `hop_memo`, when set,
+/// at read_ts (ObjectStore::GetShared with a read_ts). `hop_memo`, when set,
 /// points at the batch-scoped dereference memo of the evaluating context
 /// (batch mode only -- see ExecContext::LookupHop).
 struct ReadView {
@@ -90,10 +90,9 @@ struct QueryPlan {
 /// Plans and runs queries by lowering plans onto the pull-based operator
 /// pipeline in src/exec: index selection (single-class / class-hierarchy /
 /// nested indexes) becomes an IndexScan, scope scans become
-/// ExtentScan/HierarchyScan (or ParallelExtentScan when the ExecContext
-/// asks for scan parallelism), and predicates -- existential path
-/// semantics, late-bound method calls -- run inside Filter or are pushed
-/// into scan workers.
+/// ExtentScan/HierarchyScan, and predicates -- existential path
+/// semantics, late-bound method calls -- run inside Filter (or inside the
+/// scan's page buffer when the Filter fuses into it).
 class QueryEngine {
  public:
   QueryEngine(ObjectStore* store, IndexManager* indexes,
@@ -122,13 +121,12 @@ class QueryEngine {
   /// Plans without executing (EXPLAIN).
   Result<QueryPlan> Plan(const Query& q) const;
 
-  /// Lowers a plan to its operator tree. `parallelism` > 1 lowers
-  /// non-index scans to ParallelExtentScan with that many workers. When
-  /// `ctx` carries an armed snapshot and any scope class may hold version
-  /// chains, an index plan falls back to a (version-resolving) scan:
-  /// indexes reflect write-time state, not the snapshot.
+  /// Lowers a plan to its operator tree. When `ctx` carries an armed
+  /// snapshot and any scope class may hold version chains, an index plan
+  /// falls back to a (version-resolving) scan: indexes reflect write-time
+  /// state, not the snapshot.
   Result<std::unique_ptr<exec::Operator>> Lower(
-      const Query& q, const QueryPlan& plan, size_t parallelism = 1,
+      const Query& q, const QueryPlan& plan,
       const exec::ExecContext* ctx = nullptr) const;
 
   /// Runs the query; returns matching OIDs.
@@ -136,7 +134,7 @@ class QueryEngine {
                                    QueryStats* stats = nullptr) const;
 
   /// Runs the query under a caller-provided context (budget, trace,
-  /// scan-parallelism knob, unified counters).
+  /// batch-size knob, unified counters).
   Result<std::vector<Oid>> Execute(const Query& q,
                                    exec::ExecContext* ctx) const;
 
@@ -171,8 +169,8 @@ class QueryEngine {
   ObjectStore* store() const { return store_; }
 
  private:
-  /// Wraps Matches as the thread-safe predicate hook operators take,
-  /// flushing the per-call counters into the shared context atomics.
+  /// Wraps Matches as the predicate hook operators take, flushing the
+  /// per-call counters into the evaluating context's atomics.
   exec::MatchFn MatchFnFor(ExprPtr pred) const;
 
   Result<bool> EvalBool(const Object& obj, const Expr& e, QueryStats* stats,

@@ -404,8 +404,7 @@ Result<std::shared_ptr<const Object>> TxnManager::GetShared(uint64_t txn,
     }
     return pending;
   }
-  bool cache_hit = false;
-  return store_->GetSharedSnapshot(oid, read_ts, &cache_hit);
+  return store_->GetShared(oid, read_ts);
 }
 
 Result<Object> TxnManager::Get(uint64_t txn, Oid oid) {

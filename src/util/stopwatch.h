@@ -21,10 +21,6 @@ class Stopwatch {
             .count());
   }
 
-  double ElapsedMillis() const {
-    return static_cast<double>(ElapsedNanos()) / 1e6;
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

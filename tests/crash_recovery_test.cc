@@ -367,8 +367,7 @@ TEST_F(CrashRecoveryTest, FailedCommitStaysInvisibleAndAbortOnly) {
   // demoted chain keeps serving "base" over the still-dirty heap.
   {
     Snapshot snap = txns_->AcquireSnapshot();
-    bool cache_hit = false;
-    auto img = store_->GetSharedSnapshot(*oid, snap.read_ts(), &cache_hit);
+    auto img = store_->GetShared(*oid, snap.read_ts());
     ASSERT_TRUE(img.ok()) << img.status().ToString();
     EXPECT_EQ((*img)->Get(name_).as_string(), "base");
   }

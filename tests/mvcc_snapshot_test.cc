@@ -170,8 +170,7 @@ TEST_F(MvccSnapshotTest, LongLivedSnapshotBlocksPruningUntilRelease) {
   EXPECT_GE(mid.snapshots_live, 1u);
 
   // The pinned epoch stays readable however many commits pass.
-  bool cache_hit = false;
-  auto old_img = store_->GetSnapshot(oid, snap.read_ts(), &cache_hit);
+  auto old_img = store_->Get(oid, snap.read_ts());
   ASSERT_TRUE(old_img.ok()) << old_img.status().ToString();
   EXPECT_EQ(old_img->Get(name_).as_string(), "epoch0");
 
@@ -183,6 +182,34 @@ TEST_F(MvccSnapshotTest, LongLivedSnapshotBlocksPruningUntilRelease) {
   EXPECT_EQ(after.snapshots_live, 0u);
   EXPECT_GT(after.versions_pruned, 0u);
   EXPECT_EQ(store_->Get(oid)->Get(name_).as_string(), "epoch5");
+}
+
+// The one point read in both of its modes, on an object a transaction has
+// updated but not committed: a current read returns the heap image (the
+// writer's in-place staged update), a snapshot read the committed version.
+TEST_F(MvccSnapshotTest, PointReadCurrentSeesStagedHeapSnapshotSeesCommitted) {
+  Oid oid = Seed("committed");
+  auto writer = txns_->Begin();
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(
+      txns_->SetAttr(*writer, oid, "Name", Value::Str("staged")).ok());
+  Snapshot snap = txns_->AcquireSnapshot();
+
+  for (int round = 0; round < 2; ++round) {  // the repeat may hit the cache
+    auto current = store_->GetShared(oid);
+    ASSERT_TRUE(current.ok()) << current.status().ToString();
+    EXPECT_EQ((*current)->Get(name_).as_string(), "staged");
+    auto at_snap = store_->GetShared(oid, snap.read_ts());
+    ASSERT_TRUE(at_snap.ok()) << at_snap.status().ToString();
+    EXPECT_EQ((*at_snap)->Get(name_).as_string(), "committed");
+  }
+  // The by-value Get is the same read.
+  EXPECT_EQ(store_->Get(oid)->Get(name_).as_string(), "staged");
+  EXPECT_EQ(store_->Get(oid, snap.read_ts())->Get(name_).as_string(),
+            "committed");
+
+  ASSERT_TRUE(txns_->Abort(*writer).ok());
+  EXPECT_EQ(store_->Get(oid)->Get(name_).as_string(), "committed");
 }
 
 TEST_F(MvccSnapshotTest, SnapshotReadsTakeNoLocks) {
@@ -255,12 +282,11 @@ TEST_F(MvccSnapshotTest, DirectWritesCommitInstantlyAndRespectSnapshots) {
   auto ins = store_->Insert(0, part_, Named("newborn"));
   ASSERT_TRUE(ins.ok());
 
-  bool cache_hit = false;
-  auto pinned = store_->GetSnapshot(oid, snap.read_ts(), &cache_hit);
+  auto pinned = store_->Get(oid, snap.read_ts());
   ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
   EXPECT_EQ(pinned->Get(name_).as_string(), "direct0");
   EXPECT_TRUE(
-      store_->GetSnapshot(*ins, snap.read_ts(), &cache_hit).status().IsNotFound());
+      store_->Get(*ins, snap.read_ts()).status().IsNotFound());
 
   auto fresh = txns_->Begin();
   ASSERT_TRUE(fresh.ok());
@@ -306,8 +332,7 @@ TEST_F(MvccSnapshotTest, DirectWriteRacingInFlightCommitterStaysOrdered) {
   ASSERT_TRUE(store_->SetAttr(0, oid, "Name", Value::Str("fast")).ok());
   // ...but cannot publish past the hole the in-flight committer left.
   EXPECT_LT(mvcc->visible_ts(), slow_ts);
-  bool cache_hit = false;
-  auto frozen = store_->GetSnapshot(oid, mvcc->visible_ts(), &cache_hit);
+  auto frozen = store_->Get(oid, mvcc->visible_ts());
   ASSERT_TRUE(frozen.ok());
   EXPECT_EQ(frozen->Get(name_).as_string(), "base");
 
@@ -318,13 +343,13 @@ TEST_F(MvccSnapshotTest, DirectWriteRacingInFlightCommitterStaysOrdered) {
 
   // Chain order: the newer direct write wins at the top, the promoted
   // commit resolves exactly at its own timestamp.
-  auto newest = store_->GetSnapshot(oid, slow_ts + 1, &cache_hit);
+  auto newest = store_->Get(oid, slow_ts + 1);
   ASSERT_TRUE(newest.ok());
   EXPECT_EQ(newest->Get(name_).as_string(), "fast");
-  auto at_slow = store_->GetSnapshot(oid, slow_ts, &cache_hit);
+  auto at_slow = store_->Get(oid, slow_ts);
   ASSERT_TRUE(at_slow.ok());
   EXPECT_EQ(at_slow->Get(name_).as_string(), "slow");
-  auto before = store_->GetSnapshot(oid, slow_ts - 1, &cache_hit);
+  auto before = store_->Get(oid, slow_ts - 1);
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->Get(name_).as_string(), "base");
 
@@ -410,9 +435,8 @@ TEST_F(MvccSnapshotTest, ConcurrentPerClassWritersWithSnapshotReaders) {
         Snapshot snap = txns_->AcquireSnapshot();
         for (int c = 0; c < kClasses; ++c) {
           for (const Oid& oid : oids[c]) {
-            bool hit = false;
-            auto r1 = store_->GetSnapshot(oid, snap.read_ts(), &hit);
-            auto r2 = store_->GetSnapshot(oid, snap.read_ts(), &hit);
+            auto r1 = store_->Get(oid, snap.read_ts());
+            auto r2 = store_->Get(oid, snap.read_ts());
             if (!r1.ok() || !r2.ok() ||
                 r1->Get(attr[c]).as_string() !=
                     r2->Get(attr[c]).as_string()) {

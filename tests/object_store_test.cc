@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
 #include "object/object_store.h"
 #include "storage/buffer_pool.h"
@@ -140,6 +142,61 @@ TEST_F(ObjectStoreTest, HierarchyScanIncludesSubclasses) {
   EXPECT_EQ(n, 2);  // vehicle + truck, not company
 }
 
+// A scan callback may re-enter the store and start full scans of its own:
+// of the class being scanned and of another class. Every scan keeps its
+// own copy of the page bytes, so the nested scans see every object intact
+// and the outer scan's remaining records survive them.
+TEST_F(ObjectStoreTest, NestedScansInsideScanCallbackSeeIntactObjects) {
+  AttrId weight = (*cat_.ResolveAttr(vehicle_, "Weight"))->id;
+  AttrId name = (*cat_.ResolveAttr(company_, "Name"))->id;
+  std::map<Oid, int64_t> weights;
+  std::map<Oid, std::string> names;
+  for (int i = 0; i < 300; ++i) {  // several extent pages per class
+    weights[MustInsert(vehicle_, {{"Weight", Value::Int(1000 + i)}})] =
+        1000 + i;
+  }
+  for (int i = 0; i < 120; ++i) {
+    std::string n = std::string(48, 'c') + std::to_string(i);
+    names[MustInsert(company_, {{"Name", Value::Str(n)}})] = n;
+  }
+  ASSERT_GT(store_->ExtentPages(vehicle_)->size(), 1u);
+  ASSERT_GT(store_->ExtentPages(company_)->size(), 1u);
+
+  auto vehicle_intact = [&](const Object& v) {
+    auto it = weights.find(v.oid());
+    return it != weights.end() && v.Get(weight).as_int() == it->second;
+  };
+  auto company_intact = [&](const Object& c) {
+    auto it = names.find(c.oid());
+    return it != names.end() && c.Get(name).as_string() == it->second;
+  };
+  size_t outer = 0;
+  size_t bad = 0;
+  Status st = store_->ForEachInClass(vehicle_, [&](const Object& v) {
+    std::set<Oid> inner_vehicles, inner_companies;
+    KIMDB_RETURN_IF_ERROR(
+        store_->ForEachInClass(vehicle_, [&](const Object& w) {
+          if (!vehicle_intact(w)) ++bad;
+          inner_vehicles.insert(w.oid());
+          return Status::OK();
+        }));
+    KIMDB_RETURN_IF_ERROR(
+        store_->ForEachInClass(company_, [&](const Object& c) {
+          if (!company_intact(c)) ++bad;
+          inner_companies.insert(c.oid());
+          return Status::OK();
+        }));
+    if (inner_vehicles.size() != weights.size()) ++bad;
+    if (inner_companies.size() != names.size()) ++bad;
+    if (!vehicle_intact(v)) ++bad;  // the outer image outlived both scans
+    ++outer;
+    return Status::OK();
+  });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(outer, weights.size());
+  EXPECT_EQ(bad, 0u);
+}
+
 TEST_F(ObjectStoreTest, LazySchemaEvolutionFillsDefaults) {
   Oid oid = MustInsert(company_, {{"Name", Value::Str("GM")}});
   // Evolve the schema after the object exists.
@@ -276,10 +333,10 @@ TEST_F(ObjectStoreTest, CacheHitFlagAndCorrectness) {
   AttrId name = (*cat_.ResolveAttr(company_, "Name"))->id;
 
   bool hit = true;
-  auto first = store_->Get(oid, &hit);
+  auto first = store_->Get(oid, ObjectStore::kCurrent, &hit);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(hit);  // cold: decoded from the heap
-  auto second = store_->Get(oid, &hit);
+  auto second = store_->Get(oid, ObjectStore::kCurrent, &hit);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(hit);  // warm: served from the cache
   EXPECT_EQ(second->Get(name).as_string(), "GM");
@@ -332,7 +389,7 @@ TEST_F(ObjectStoreTest, UpdateInvalidatesCachedEntry) {
 
   ASSERT_TRUE(store_->SetAttr(1, oid, "Name", Value::Str("Ford Motor")).ok());
   bool hit = true;
-  auto obj = store_->Get(oid, &hit);
+  auto obj = store_->Get(oid, ObjectStore::kCurrent, &hit);
   ASSERT_TRUE(obj.ok());
   EXPECT_FALSE(hit);  // the stale image was dropped by the update
   EXPECT_EQ(obj->Get(name).as_string(), "Ford Motor");
@@ -359,7 +416,7 @@ TEST_F(ObjectStoreTest, ApplyPathsInvalidateCachedEntry) {
   before->Set(name, Value::Str("restored"));
   ASSERT_TRUE(store_->ApplyUpdate(*before).ok());
   bool hit = true;
-  auto obj = store_->Get(oid, &hit);
+  auto obj = store_->Get(oid, ObjectStore::kCurrent, &hit);
   ASSERT_TRUE(obj.ok());
   EXPECT_FALSE(hit);
   EXPECT_EQ(obj->Get(name).as_string(), "restored");
@@ -376,7 +433,7 @@ TEST_F(ObjectStoreTest, SchemaEvolutionInvalidatesCachedEntry) {
                                            Value::Int(42)})
                   .ok());
   bool hit = true;
-  auto obj = store_->Get(oid, &hit);
+  auto obj = store_->Get(oid, ObjectStore::kCurrent, &hit);
   ASSERT_TRUE(obj.ok());
   EXPECT_FALSE(hit);  // version tag mismatch forces re-materialization
   AttrId emp = (*cat_.ResolveAttr(company_, "Employees"))->id;
@@ -390,7 +447,7 @@ TEST_F(ObjectStoreTest, RewriteExtentClearsCache) {
   ASSERT_TRUE(cat_.DropAttribute(company_, "Location").ok());
   ASSERT_TRUE(store_->RewriteExtent(company_).ok());
   bool hit = true;
-  auto obj = store_->Get(oid, &hit);
+  auto obj = store_->Get(oid, ObjectStore::kCurrent, &hit);
   ASSERT_TRUE(obj.ok());
   EXPECT_FALSE(hit);
   AttrId name = (*cat_.ResolveAttr(company_, "Name"))->id;
@@ -432,7 +489,7 @@ TEST(ObjectCacheModeTest, DisabledCachePreservesBehavior) {
   AttrId body = (*env.cat.ResolveAttr(env.cls, "Body"))->id;
   bool hit = true;
   for (int i = 0; i < 3; ++i) {
-    auto obj = env.store->Get(oid, &hit);
+    auto obj = env.store->Get(oid, ObjectStore::kCurrent, &hit);
     ASSERT_TRUE(obj.ok());
     EXPECT_FALSE(hit);  // never served from cache
     EXPECT_EQ(obj->Get(body).as_string(), "hello");
@@ -474,9 +531,9 @@ TEST(ObjectCacheModeTest, OversizedObjectsAreNotCached) {
   CacheEnv env(kBudget);
   Oid big = env.MustInsert(std::string(2048, 'x'));
   bool hit = true;
-  ASSERT_TRUE(env.store->Get(big, &hit).ok());
+  ASSERT_TRUE(env.store->Get(big, ObjectStore::kCurrent, &hit).ok());
   EXPECT_FALSE(hit);
-  ASSERT_TRUE(env.store->Get(big, &hit).ok());
+  ASSERT_TRUE(env.store->Get(big, ObjectStore::kCurrent, &hit).ok());
   EXPECT_FALSE(hit);  // never admitted: would wipe the whole shard
   EXPECT_EQ(env.store->object_cache().stats().resident_objects, 0u);
 }

@@ -564,7 +564,7 @@ TEST_F(QueryOptimizerTest, BatchSizesAgreeAcrossBoundaries) {
   ASSERT_TRUE(db_->Commit(*t).ok());
 
   // Scan+filter shape and index+residual-fetch shape, each at batch sizes
-  // 1 (row-at-a-time baseline), 3 (forces many short batches), 7, 256.
+  // 1 (one-row batches), 3 (forces many short batches), 7, 256.
   for (const char* oql :
        {"select Part where Weight < 100",
         "select Part where Key = 5 and Weight > 50", "select Part"}) {

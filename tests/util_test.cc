@@ -137,7 +137,8 @@ TEST(CodingTest, LengthPrefixedRoundTrip) {
 TEST(CodingTest, LengthPrefixedTruncated) {
   std::string buf;
   PutLengthPrefixed(&buf, "hello world");
-  Decoder dec(buf.substr(0, 4));
+  std::string truncated = buf.substr(0, 4);  // the Decoder keeps a view
+  Decoder dec(truncated);
   EXPECT_TRUE(dec.ReadLengthPrefixed().status().IsCorruption());
 }
 
